@@ -79,34 +79,6 @@ class PlanSubject(Subject):
         return doc
 
 
-class ClusterSubject(Subject):
-    """A distributed data-parallel iteration under interconnect noise.
-
-    The deterministic profile is computed once; per sample, the compute
-    share rides the kernel-jitter channel and the communication share the
-    interconnect channel — the measurement-layer view of a fabric whose
-    latency wobbles under contention.
-    """
-
-    def __init__(self, label: str, profile):
-        super().__init__(label)
-        iteration = profile.iteration_time_s
-        comm = iteration * profile.communication_fraction
-        self._compute_s = iteration - comm
-        self._comm_s = comm
-
-    @property
-    def noiseless_s(self) -> float:
-        return self._compute_s + self._comm_s
-
-    def measure(self, stream) -> float:
-        compute_factor = float(stream.kernel_factors(1)[0])
-        return (
-            self._compute_s * compute_factor
-            + self._comm_s * stream.interconnect_factor()
-        )
-
-
 #: Named treatments ``subject_for`` understands.
 TRANSFORMS = {
     "fused-rnn": FusedRNNTransform,

@@ -279,13 +279,6 @@ def modules_fingerprint(entries) -> str:
     return digest(sorted(digests))
 
 
-def clear_fingerprint_caches() -> None:
-    """Drop memoized file/code digests (tests, or long-lived processes
-    that edit source on the fly)."""
-    _FILE_DIGESTS.clear()
-    _CODE_FINGERPRINTS.clear()
-
-
 # ----------------------------------------------------------------------
 # the point key
 # ----------------------------------------------------------------------

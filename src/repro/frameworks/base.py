@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.kernels.base import Kernel, KernelCategory
+from repro.kernels.base import Kernel, KernelCategory, map_distinct
 
 
 class MomentumAllocation(enum.Enum):
@@ -103,5 +103,6 @@ class Framework:
         )
 
     def specialize_kernels(self, kernels) -> list:
-        """Vectorised :meth:`specialize_kernel`."""
-        return [self.specialize_kernel(k) for k in kernels]
+        """Vectorised :meth:`specialize_kernel`, once per distinct kernel
+        object (see :func:`~repro.kernels.base.map_distinct`)."""
+        return map_distinct(self.specialize_kernel, kernels)

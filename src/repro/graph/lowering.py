@@ -204,26 +204,21 @@ def _recurrent_layer(
         raise ValueError("sequence length must be positive")
     directions = 2 if bidirectional else 1
     k_dim = input_size + hidden
-    forward: list = []
-    backward: list = []
-    for _direction in range(directions):
-        for _step in range(seq_len):
-            forward.append(gemm(batch, gates * hidden, k_dim, name="rnn_step_sgemm"))
-            step_fw = pointwise_factory(batch, hidden, backward=False)
-            step_bw = pointwise_factory(batch, hidden, backward=True)
-            if stepwise_host_sync:
-                # dynamic_rnn-style loops re-enter host control flow after
-                # every cell update, forward and backward.
-                step_fw = replace(step_fw, host_sync=True)
-                step_bw = replace(step_bw, host_sync=True)
-            forward.append(step_fw)
-            backward.append(step_bw)
-            backward.append(
-                gemm(batch, k_dim, gates * hidden, name="rnn_step_sgemm_dgrad")
-            )
-            backward.append(
-                gemm(k_dim, gates * hidden, batch, name="rnn_step_sgemm_wgrad")
-            )
+    # Every step launches the same five kernels, so each is built once and
+    # the stream holds ``directions * seq_len`` references to it.
+    step_gemm = gemm(batch, gates * hidden, k_dim, name="rnn_step_sgemm")
+    step_fw = pointwise_factory(batch, hidden, backward=False)
+    step_bw = pointwise_factory(batch, hidden, backward=True)
+    if stepwise_host_sync:
+        # dynamic_rnn-style loops re-enter host control flow after every
+        # cell update, forward and backward.
+        step_fw = replace(step_fw, host_sync=True)
+        step_bw = replace(step_bw, host_sync=True)
+    step_dgrad = gemm(batch, k_dim, gates * hidden, name="rnn_step_sgemm_dgrad")
+    step_wgrad = gemm(k_dim, gates * hidden, batch, name="rnn_step_sgemm_wgrad")
+    steps = directions * seq_len
+    forward = [step_gemm, step_fw] * steps
+    backward = [step_bw, step_dgrad, step_wgrad] * steps
     weights = directions * (k_dim * gates * hidden + gates * hidden)
     # Stash per step: the concatenated [input, hidden] GEMM operand, gate
     # values both before and after their nonlinearities, and the cell/state

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.hardware.devices import GPUSpec
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, map_distinct
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,11 @@ class RooflineModel:
         )
 
     def time_kernels(self, kernels) -> list:
-        """Vectorised convenience: time a sequence of kernels."""
-        return [self.time_kernel(k) for k in kernels]
+        """Time a sequence of kernels, once per distinct kernel object (see
+        :func:`~repro.kernels.base.map_distinct`): repeated references
+        share one :class:`KernelTiming`, and ``timings[i].kernel is
+        kernels[i]`` holds for every ``i``."""
+        return map_distinct(self.time_kernel, kernels)
 
     def arithmetic_intensity_breakeven(self) -> float:
         """FLOP/byte ratio above which kernels are compute bound on this

@@ -91,3 +91,21 @@ class Kernel:
 def fp32_bytes(elements: float) -> float:
     """DRAM bytes for ``elements`` FP32 values."""
     return elements * _FP32_BYTES
+
+
+def map_distinct(function, kernels) -> list:
+    """``[function(k) for k in kernels]``, calling ``function`` once per
+    distinct kernel *object* and repeating its result.
+
+    Recurrent layers repeat one kernel object per timestep, so a stream
+    of tens of thousands of entries holds a few dozen objects.  The memo
+    is keyed by identity, never by value: traced kernels carry symbolic
+    fields that refuse hashing, and they take this same path."""
+    memo: dict = {}
+    out = []
+    for kernel in kernels:
+        result = memo.get(id(kernel))
+        if result is None:
+            result = memo[id(kernel)] = function(kernel)
+        out.append(result)
+    return out

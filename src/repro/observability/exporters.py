@@ -182,11 +182,6 @@ def bench_records_to_jsonl(records) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_spans_jsonl(roots_or_tracer, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(spans_to_jsonl(roots_or_tracer))
-
-
 # ----------------------------------------------------------------------
 # Chrome trace
 # ----------------------------------------------------------------------

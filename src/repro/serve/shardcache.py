@@ -122,17 +122,22 @@ class ShardedResultCache:
                 self._bytes[index] -= lru.pop(key)
             path = store.store(key, point, config)
             size = self._entry_bytes(path)
-            lru[key] = size
-            self._bytes[index] += size
             budget = self.shard_budget
+            # Evict oldest-first *before* booking the new entry: other
+            # shards sum the ledgers without this lock, so this shard's
+            # cell must never exceed its budget, not even between two
+            # statements.  An entry that alone exceeds the shard budget is
+            # evicted too: the budget bound is absolute.
             if budget is not None:
-                # Evict oldest-first until under budget.  The entry just
-                # written is last in LRU order, so it survives unless it
-                # alone exceeds the shard budget — in which case it too
-                # is evicted: the budget bound is absolute.
-                while self._bytes[index] > budget and lru:
-                    victim, _ = next(iter(lru.items()))
-                    self._evict_locked(index, victim)
+                while lru and self._bytes[index] + size > budget:
+                    self._evict_locked(index, next(iter(lru)))
+            if budget is None or size <= budget:
+                lru[key] = size
+                self._bytes[index] += size
+            else:
+                store.remove(key)
+                self.evictions += 1
+                get_metrics().counter("serve.cache.evictions").inc()
             self._note_total()
             get_metrics().gauge("serve.cache.bytes").set(self.total_bytes())
             return path
